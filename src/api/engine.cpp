@@ -230,8 +230,9 @@ ForecastEngine::forecast(const ForecastRequest &req) const
             };
             // The graph is GPU-independent, so the cache key deliberately
             // omits the target GPU (and the backend): requests differing
-            // only there share one built graph.
-            std::shared_ptr<const graph::KernelGraph> g;
+            // only there share one built graph and its kernel index, and
+            // a hit prices the distinct kernels without touching a node.
+            std::shared_ptr<const serve::IndexedGraph> g;
             if (graphCache) {
                 const std::string key =
                     std::string(requestKindName(req.kind)) + '|' +
@@ -240,10 +241,10 @@ ForecastEngine::forecast(const ForecastRequest &req) const
                     std::to_string(static_cast<int>(req.dtype));
                 g = graphCache->getOrBuild(key, build);
             } else {
-                g = std::make_shared<const graph::KernelGraph>(build());
+                g = std::make_shared<const serve::IndexedGraph>(build());
             }
-            result.kernelCount = g->computeNodeCount();
-            result.latencyMs = predictor.predictGraphMs(*g, req.gpu);
+            result.kernelCount = g->index.slots.size();
+            result.latencyMs = predictor.predictGraphMs(g->index, req.gpu);
             break;
           }
           case RequestKind::Distributed: {

@@ -150,7 +150,11 @@ size_t dtypeBytes(DataType dtype);
 /** Human-readable operator family name. */
 const char *opTypeName(OpType type);
 
-/** Metadata of one GPU kernel. */
+/**
+ * Metadata of one GPU kernel. A new field must also join
+ * graph::sameKernel and its hash (graph/kernel_index.cpp), or the
+ * kernel index could merge kernels that differ in it.
+ */
 struct KernelDesc
 {
     OpType type = OpType::Memory;

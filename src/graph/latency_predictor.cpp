@@ -20,15 +20,18 @@ double
 LatencyPredictor::predictGraphMs(const KernelGraph &g,
                                  const gpusim::GpuSpec &gpu) const
 {
+    return predictGraphMs(KernelIndex(g), gpu);
+}
+
+double
+LatencyPredictor::predictGraphMs(const KernelIndex &index,
+                                 const gpusim::GpuSpec &gpu) const
+{
     obs::TraceSpan span("graph.predict", "graph");
-    std::vector<gpusim::KernelDesc> descs;
-    descs.reserve(g.nodes.size());
-    for (const auto &node : g.nodes)
-        if (node.kind == NodeKind::Compute)
-            descs.push_back(node.kernel);
+    const std::vector<double> lat = predictKernelsMs(index.distinct, gpu);
     double total = 0.0;
-    for (double ms : predictKernelsMs(descs, gpu))
-        total += ms;
+    for (uint32_t slot : index.slots)
+        total += lat[slot];
     return total;
 }
 

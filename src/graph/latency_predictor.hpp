@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/kernel_index.hpp"
 #include "gpusim/gpu_spec.hpp"
 
 namespace neusight::graph {
@@ -43,10 +44,22 @@ class LatencyPredictor
 
     /**
      * Per-GPU latency of a kernel graph: kernels execute sequentially on
-     * the device (Section 5), so the default sums the compute nodes'
-     * predictKernelsMs latencies.
+     * the device (Section 5), so the latency is the node-order sum of
+     * the compute nodes' predictKernelsMs latencies. Builds the graph's
+     * KernelIndex and prices through the overload below.
      */
-    virtual double predictGraphMs(const KernelGraph &g,
+    double predictGraphMs(const KernelGraph &g,
+                          const gpusim::GpuSpec &gpu) const;
+
+    /**
+     * Per-GPU latency of the graph @p index was built from: one
+     * predictKernelsMs call over index.distinct, then the node-order sum
+     * of each slot's latency — bit-identical to summing predictKernelsMs
+     * over every compute node, at the cost of the distinct kernels only.
+     * Callers that keep a graph around (the engine's graph cache) keep
+     * its index with it and call this directly.
+     */
+    virtual double predictGraphMs(const KernelIndex &index,
                                   const gpusim::GpuSpec &gpu) const;
 };
 

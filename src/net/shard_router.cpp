@@ -54,6 +54,7 @@ ShardRouter::ShardRouter(std::vector<ShardHandle> shards,
     retriesTotal = registry.counter("net.retries");
     timeoutsTotal = registry.counter("net.timeouts");
     liveShardsGauge = registry.gauge("router.live_shards");
+    deadlinesPending = registry.gauge("net.deadlines.pending");
     liveShardsGauge->set(static_cast<int64_t>(shards.size()));
     submittedCount = registry.counter("net.requests.submitted");
     completedCount = registry.counter("net.requests.completed");
@@ -313,10 +314,22 @@ ShardRouter::forwardEntry(RidEntry &entry)
     queueFlush(*pipe);
     ++pipe->outstanding;
     forwardedTotal->inc();
-    if (entry.hasDeadline)
-        deadlines.emplace(entry.deadline, rid);
+    if (entry.hasDeadline) {
+        entry.deadlineSlot = deadlines.emplace(entry.deadline, rid);
+        deadlinesPending->set(static_cast<int64_t>(deadlines.size()));
+    }
     ridMap[rid] = std::move(entry);
     return ForwardStatus::Ok;
+}
+
+void
+ShardRouter::dropDeadline(RidEntry &entry)
+{
+    if (!entry.deadlineSlot)
+        return;
+    deadlines.erase(*entry.deadlineSlot);
+    entry.deadlineSlot.reset();
+    deadlinesPending->set(static_cast<int64_t>(deadlines.size()));
 }
 
 void
@@ -529,6 +542,7 @@ ShardRouter::handleShardLine(Peer &shardPeer, const std::string &line)
     }
     RidEntry entry = std::move(it->second);
     ridMap.erase(it);
+    dropDeadline(entry);
     ensure(shardPeer.outstanding > 0, "net: shard outstanding underflow");
     --shardPeer.outstanding;
 
@@ -703,6 +717,8 @@ ShardRouter::shardDied(int shard)
     std::vector<std::pair<std::string, RidEntry>> failed;
     for (auto it = ridMap.begin(); it != ridMap.end();) {
         if (it->second.shard == shard) {
+            // A retry queues the deadline again under its new rid.
+            dropDeadline(it->second);
             failed.emplace_back(it->first, std::move(it->second));
             it = ridMap.erase(it);
         } else {
@@ -787,12 +803,12 @@ void
 ShardRouter::fireDeadlines(std::chrono::steady_clock::time_point now)
 {
     while (!deadlines.empty() && deadlines.begin()->first <= now) {
-        const std::string rid = deadlines.begin()->second;
-        deadlines.erase(deadlines.begin());
-        auto it = ridMap.find(rid);
-        if (it == ridMap.end() || it->second.timedOut)
-            continue; // Answered (or re-routed under a new rid) already.
+        // Every queued deadline belongs to a live, unanswered rid:
+        // replies, retries and firing all erase theirs.
+        auto it = ridMap.find(deadlines.begin()->second);
+        ensure(it != ridMap.end(), "net: deadline of an unknown rid");
         RidEntry &entry = it->second;
+        dropDeadline(entry);
         // The entry stays in ridMap so the shard's late reply still
         // balances its outstanding counter; handleShardLine drops it.
         entry.timedOut = true;

@@ -55,6 +55,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/types.h>
 #include <unordered_map>
@@ -179,6 +180,10 @@ class ShardRouter
         bool flushQueued = false;
     };
 
+    /** Deadline queue over rids, ordered by expiry. */
+    using DeadlineQueue =
+        std::multimap<std::chrono::steady_clock::time_point, std::string>;
+
     /** One forwarded request awaiting its shard's answer. */
     struct RidEntry
     {
@@ -199,6 +204,9 @@ class ShardRouter
         bool timedOut = false;
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadline{};
+        /** This rid's entry in `deadlines` while queued; erased on
+         *  reply, on a death retry, and when it fires. */
+        std::optional<DeadlineQueue::iterator> deadlineSlot;
     };
 
     /** One "stats" fan-out collecting per-shard snapshots. */
@@ -254,6 +262,8 @@ class ShardRouter
     /** Route @p entry by its fingerprint and ship it (fresh or retry).
      *  Consumes @p entry on Ok; leaves it intact on failure. */
     ForwardStatus forwardEntry(RidEntry &entry);
+    /** Erase @p entry's queued deadline, if any. */
+    void dropDeadline(RidEntry &entry);
     void appendOutput(Peer &peer, const std::string &line);
     void flushOutput(Peer &peer);
     /** Defer a flush to the end of the current event batch (one send()
@@ -309,9 +319,9 @@ class ShardRouter
     std::unordered_map<pid_t, size_t> pidToShard;
     std::unordered_map<std::string, RidEntry> ridMap;
     std::map<uint64_t, StatsGroup> statsGroups;
-    /** Deadline queue over rids; stale entries are skipped lazily. */
-    std::multimap<std::chrono::steady_clock::time_point, std::string>
-        deadlines;
+    /** Deadlines of the unanswered rids; exported as the
+     *  net.deadlines.pending gauge. */
+    DeadlineQueue deadlines;
 
     /// @name Router-registry metrics.
     /// @{
@@ -328,6 +338,7 @@ class ShardRouter
     std::shared_ptr<obs::Counter> retriesTotal;
     std::shared_ptr<obs::Counter> timeoutsTotal;
     std::shared_ptr<obs::Gauge> liveShardsGauge;
+    std::shared_ptr<obs::Gauge> deadlinesPending;
     /** The serving invariant: submitted == completed + rejected +
      *  timed_out at quiescence (chaos tests pin it). */
     std::shared_ptr<obs::Counter> submittedCount;

@@ -48,6 +48,7 @@ SocketServer::SocketServer(serve::ForecastServer &server_,
     slowDisconnects = reg.counter("net.slow_client_disconnects");
     rejectedCount = reg.counter("serve.rejected");
     timeoutsCount = reg.counter("net.timeouts");
+    deadlinesPending = reg.gauge("net.deadlines.pending");
     fault = options.fault;
 
     if (options.adoptedFd < 0) {
@@ -294,11 +295,24 @@ SocketServer::handleLine(Connection &conn, const std::string &line)
     pending.fd = fd;
     pending.gen = gen;
     pending.tag = tag;
+    if (timeoutMs > 0) {
+        pending.deadlineSlot =
+            deadlines.emplace(std::chrono::steady_clock::now() +
+                                  std::chrono::milliseconds(timeoutMs),
+                              reqId);
+        deadlinesPending->set(static_cast<int64_t>(deadlines.size()));
+    }
     pendingReqs[reqId] = std::move(pending);
-    if (timeoutMs > 0)
-        deadlines.emplace(std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(timeoutMs),
-                          reqId);
+}
+
+void
+SocketServer::dropDeadline(PendingRequest &pending)
+{
+    if (!pending.deadlineSlot)
+        return;
+    deadlines.erase(*pending.deadlineSlot);
+    pending.deadlineSlot.reset();
+    deadlinesPending->set(static_cast<int64_t>(deadlines.size()));
 }
 
 void
@@ -423,6 +437,7 @@ SocketServer::drainCompletions()
         auto pit = pendingReqs.find(done.reqId);
         if (pit != pendingReqs.end()) {
             timedOut = pit->second.timedOut;
+            dropDeadline(pit->second);
             pendingReqs.erase(pit);
         }
         if (timedOut)
@@ -452,12 +467,13 @@ void
 SocketServer::fireDeadlines(std::chrono::steady_clock::time_point now)
 {
     while (!deadlines.empty() && deadlines.begin()->first <= now) {
-        const uint64_t reqId = deadlines.begin()->second;
-        deadlines.erase(deadlines.begin());
-        auto it = pendingReqs.find(reqId);
-        if (it == pendingReqs.end() || it->second.timedOut)
-            continue; // Answered in time.
+        // Every queued deadline belongs to an unanswered request:
+        // completions and firing both erase theirs.
+        auto it = pendingReqs.find(deadlines.begin()->second);
+        ensure(it != pendingReqs.end(),
+               "net: deadline of an unknown request");
         PendingRequest &pending = it->second;
+        dropDeadline(pending);
         // The entry stays until the completion arrives, which then
         // balances inFlightTotal and is dropped instead of delivered.
         pending.timedOut = true;
@@ -633,6 +649,7 @@ SocketServer::run()
     }
     pendingReqs.clear();
     deadlines.clear();
+    deadlinesPending->set(0);
     for (auto &entry : conns)
         closeFd(entry.second->fd);
     if (options.adoptedFd >= 0 &&

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -155,6 +156,10 @@ class SocketServer
         std::string line;
     };
 
+    /** Deadline queue over request ids, ordered by expiry. */
+    using DeadlineQueue =
+        std::multimap<std::chrono::steady_clock::time_point, uint64_t>;
+
     /** One accepted request awaiting its engine result (deadline
      *  bookkeeping; lives until the completion arrives). */
     struct PendingRequest
@@ -165,6 +170,9 @@ class SocketServer
         /** Deadline fired and the client was answered; the engine's
          *  late result is dropped. */
         bool timedOut = false;
+        /** This request's entry in `deadlines` while queued; erased
+         *  when the result arrives or the deadline fires. */
+        std::optional<DeadlineQueue::iterator> deadlineSlot;
     };
 
     void acceptAll();
@@ -182,6 +190,8 @@ class SocketServer
     /** Answer every request whose deadline has passed with a typed
      *  "timeout" error. */
     void fireDeadlines(std::chrono::steady_clock::time_point now);
+    /** Erase @p pending's queued deadline, if any. */
+    void dropDeadline(PendingRequest &pending);
     /** Fault injection: go silent (deregister every fd) but stay
      *  alive — only a supervisor heartbeat can tell. */
     void enterWedge();
@@ -206,9 +216,9 @@ class SocketServer
 
     uint64_t nextReqId = 1;
     std::unordered_map<uint64_t, PendingRequest> pendingReqs;
-    /** Deadline queue over request ids; stale entries skip lazily. */
-    std::multimap<std::chrono::steady_clock::time_point, uint64_t>
-        deadlines;
+    /** Deadlines of the unanswered requests; exported as the
+     *  net.deadlines.pending gauge. */
+    DeadlineQueue deadlines;
     FaultInjector fault;
     /** Fault injection tripped a wedge: silent until killed. */
     bool wedged = false;
@@ -228,6 +238,7 @@ class SocketServer
     std::shared_ptr<obs::Counter> slowDisconnects;
     std::shared_ptr<obs::Counter> rejectedCount;
     std::shared_ptr<obs::Counter> timeoutsCount;
+    std::shared_ptr<obs::Gauge> deadlinesPending;
     /// @}
 };
 

@@ -11,7 +11,7 @@ ModelGraphCache::ModelGraphCache(size_t capacity) : maxEntries(capacity)
     ensure(capacity >= 1, "ModelGraphCache: capacity must be at least 1");
 }
 
-std::shared_ptr<const graph::KernelGraph>
+std::shared_ptr<const IndexedGraph>
 ModelGraphCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex);
@@ -27,7 +27,7 @@ ModelGraphCache::lookup(const std::string &key)
 
 void
 ModelGraphCache::insert(const std::string &key,
-                        std::shared_ptr<const graph::KernelGraph> graph)
+                        std::shared_ptr<const IndexedGraph> graph)
 {
     std::lock_guard<std::mutex> lock(mutex);
     insertCount->inc();
@@ -46,14 +46,14 @@ ModelGraphCache::insert(const std::string &key,
     index[key] = lru.begin();
 }
 
-std::shared_ptr<const graph::KernelGraph>
+std::shared_ptr<const IndexedGraph>
 ModelGraphCache::getOrBuild(
     const std::string &key,
     const std::function<graph::KernelGraph()> &build)
 {
     if (auto hit = lookup(key))
         return hit;
-    auto built = std::make_shared<const graph::KernelGraph>(build());
+    auto built = std::make_shared<const IndexedGraph>(build());
     insert(key, built);
     return built;
 }

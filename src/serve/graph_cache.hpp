@@ -7,7 +7,9 @@
  * (model, batch, context) points over and over — so the server memoizes
  * built graphs behind a canonical request fingerprint. Graphs are
  * GPU-independent (the builders take only model/batch/dtype), shared as
- * immutable shared_ptr snapshots, and evicted LRU.
+ * immutable shared_ptr snapshots, and evicted LRU. Each entry carries
+ * the graph's KernelIndex, built once with the graph, so a cached
+ * request prices its distinct kernels without touching the nodes.
  */
 
 #ifndef NEUSIGHT_SERVE_GRAPH_CACHE_HPP
@@ -19,17 +21,33 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/graph.hpp"
+#include "graph/kernel_index.hpp"
 #include "serve/prediction_cache.hpp"
 
 namespace neusight::serve {
 
+/** A built graph and its kernel index, immutable once cached. */
+struct IndexedGraph
+{
+    graph::KernelGraph graph;
+    /** Built from graph after its last append. */
+    graph::KernelIndex index;
+
+    explicit IndexedGraph(graph::KernelGraph g)
+        : graph(std::move(g)), index(graph)
+    {
+    }
+};
+
 /**
  * Thread-safe LRU cache from a graph fingerprint to an immutable built
- * KernelGraph. A single mutex guards the map: entries are two orders of
- * magnitude fewer (and three heavier) than kernel predictions, so shard
- * contention is not the bottleneck the prediction cache has to dodge.
+ * KernelGraph and its index. A single mutex guards the map: entries are
+ * two orders of magnitude fewer (and three heavier) than kernel
+ * predictions, so shard contention is not the bottleneck the prediction
+ * cache has to dodge.
  */
 class ModelGraphCache
 {
@@ -41,20 +59,20 @@ class ModelGraphCache
      * Find @p key; on a hit promote the entry and return it, else
      * nullptr. Counts one hit or one miss.
      */
-    std::shared_ptr<const graph::KernelGraph>
-    lookup(const std::string &key);
+    std::shared_ptr<const IndexedGraph> lookup(const std::string &key);
 
     /** Insert (or refresh) @p key, evicting the LRU entry when full. */
     void insert(const std::string &key,
-                std::shared_ptr<const graph::KernelGraph> graph);
+                std::shared_ptr<const IndexedGraph> graph);
 
     /**
-     * lookup(), falling back to @p build + insert on a miss. The
-     * builder runs outside the lock; two threads racing on the same
+     * lookup(), falling back to @p build + insert on a miss; the
+     * index is built here, with the graph. The builder runs outside
+     * the lock; two threads racing on the same
      * cold key may both build (construction is idempotent) and the
      * later insert wins.
      */
-    std::shared_ptr<const graph::KernelGraph>
+    std::shared_ptr<const IndexedGraph>
     getOrBuild(const std::string &key,
                const std::function<graph::KernelGraph()> &build);
 
@@ -81,8 +99,7 @@ class ModelGraphCache
     size_t capacity() const { return maxEntries; }
 
   private:
-    using Entry =
-        std::pair<std::string, std::shared_ptr<const graph::KernelGraph>>;
+    using Entry = std::pair<std::string, std::shared_ptr<const IndexedGraph>>;
 
     mutable std::mutex mutex;
     /** Front = most recently used. */

@@ -526,11 +526,31 @@ double
 CachedPredictor::predictKernelMs(const KernelDesc &desc,
                                  const GpuSpec &gpu) const
 {
+    return cachedKernelMs(desc, gpu, gpuFeatureFingerprint(gpu));
+}
+
+std::vector<double>
+CachedPredictor::predictKernelsMs(const std::vector<KernelDesc> &descs,
+                                  const GpuSpec &gpu) const
+{
+    const std::string gpu_part = gpuFeatureFingerprint(gpu);
+    std::vector<double> out;
+    out.reserve(descs.size());
+    for (const KernelDesc &desc : descs)
+        out.push_back(cachedKernelMs(desc, gpu, gpu_part));
+    return out;
+}
+
+double
+CachedPredictor::cachedKernelMs(const KernelDesc &desc, const GpuSpec &gpu,
+                                const std::string &gpu_part) const
+{
     // Raw op name: the inner predictor may tell kernels apart that the
     // NeuSight canonicalization deliberately merges (the simulator's
     // ground truth does, via its per-kernel-name behaviour).
     const std::string key =
-        prefix + cacheFingerprint(desc, gpu, /*canonical_op=*/false);
+        prefix + core::kernelFingerprintPart(desc, /*canonical_op=*/false) +
+        gpu_part;
     PredictionDetail detail;
     if (cachePtr->lookup(key, detail))
         return detail.latencyMs;

@@ -244,6 +244,17 @@ class CachedPredictor : public graph::LatencyPredictor
     double predictKernelMs(const gpusim::KernelDesc &desc,
                            const gpusim::GpuSpec &gpu) const override;
 
+    /**
+     * predictKernelMs over @p descs, with the GPU half of the key built
+     * once for the batch: one key build and one cache lookup per
+     * descriptor. Graph forecasts pass their distinct kernels only (see
+     * graph::KernelIndex), so a graph costs one lookup per distinct
+     * kernel, not one per node.
+     */
+    std::vector<double>
+    predictKernelsMs(const std::vector<gpusim::KernelDesc> &descs,
+                     const gpusim::GpuSpec &gpu) const override;
+
     /** The shared cache (for stats reporting). */
     const std::shared_ptr<PredictionCache> &cache() const
     {
@@ -251,6 +262,13 @@ class CachedPredictor : public graph::LatencyPredictor
     }
 
   private:
+    /** Latency of @p desc on @p gpu from the cache, or from the inner
+     *  predictor (then inserted) on a miss. @p gpu_part is
+     *  gpuFeatureFingerprint(gpu), built once per batch by the caller. */
+    double cachedKernelMs(const gpusim::KernelDesc &desc,
+                          const gpusim::GpuSpec &gpu,
+                          const std::string &gpu_part) const;
+
     const graph::LatencyPredictor &inner;
     std::shared_ptr<PredictionCache> cachePtr;
     /** Key prefix (scope + separator), empty when unscoped. */

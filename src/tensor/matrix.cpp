@@ -36,14 +36,6 @@ Matrix::setZero()
     std::fill(data.begin(), data.end(), 0.0);
 }
 
-void
-Matrix::resize(size_t rows, size_t cols)
-{
-    nRows = rows;
-    nCols = cols;
-    data.resize(rows * cols);
-}
-
 MatrixF32::MatrixF32(size_t rows, size_t cols)
     : nRows(rows), nCols(cols), data(rows * cols, 0.0f)
 {
@@ -151,7 +143,6 @@ matmul(const Matrix &a, const Matrix &b)
     const size_t n = b.cols();
     Matrix c(m, n);
     // i-k-j loop order: unit-stride access on both B and C.
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         double *crow = c.raw() + i * n;
         const double *arow = a.raw() + i * k;
@@ -175,7 +166,6 @@ matmulNT(const Matrix &a, const Matrix &b)
     const size_t k = a.cols();
     const size_t n = b.rows();
     Matrix c(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         const double *arow = a.raw() + i * k;
         double *crow = c.raw() + i * n;
@@ -198,14 +188,9 @@ matmulTN(const Matrix &a, const Matrix &b)
     const size_t k = a.rows();
     const size_t n = b.cols();
     // A is consumed column-wise here; an O(m*k) transposed copy makes
-    // every access of the O(m*k*n) accumulation unit-stride. The copy
-    // lands in a thread-local scratch buffer so steady-state callers
-    // (every Linear backward of every training step) stop paying a
-    // malloc per call.
-    thread_local Matrix at;
-    transposeInto(a, at);
+    // every access of the O(m*k*n) accumulation unit-stride.
+    const Matrix at = transpose(a);
     Matrix c(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         double *crow = c.raw() + i * n;
         const double *atrow = at.raw() + i * k;
@@ -294,18 +279,11 @@ colSum(const Matrix &a)
 Matrix
 transpose(const Matrix &a)
 {
-    Matrix c;
-    transposeInto(a, c);
-    return c;
-}
-
-void
-transposeInto(const Matrix &a, Matrix &out)
-{
-    out.resize(a.cols(), a.rows());
+    Matrix c(a.cols(), a.rows());
     for (size_t i = 0; i < a.rows(); ++i)
         for (size_t j = 0; j < a.cols(); ++j)
-            out.at(j, i) = a.at(i, j);
+            c.at(j, i) = a.at(i, j);
+    return c;
 }
 
 void

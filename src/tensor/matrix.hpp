@@ -64,13 +64,6 @@ class Matrix
     /** Set every element to zero. */
     void setZero();
 
-    /**
-     * Reshape to (rows, cols), reusing the existing allocation when it is
-     * large enough. Contents are unspecified afterwards; scratch-buffer
-     * helper for kernels that recycle a workspace across calls.
-     */
-    void resize(size_t rows, size_t cols);
-
     /** Set every element to @p value. */
     void fill(double value);
 
@@ -175,9 +168,6 @@ Matrix colSum(const Matrix &a);
 
 /** Transposed copy. */
 Matrix transpose(const Matrix &a);
-
-/** Transpose @p a into @p out, reusing out's allocation when possible. */
-void transposeInto(const Matrix &a, Matrix &out);
 
 /** a += b (elementwise, shapes must match). */
 void addInPlace(Matrix &a, const Matrix &b);

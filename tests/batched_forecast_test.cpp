@@ -217,8 +217,9 @@ TEST_F(BatchedForecast, PredictBatchMatchesPredictBitExactly)
 
 TEST_F(BatchedForecast, GraphForecastMatchesNodeByNodeSum)
 {
-    // The deduplicated graph path regroups the sum (count * ms instead
-    // of node order), so equality is near-exact rather than bit-exact.
+    // The indexed graph path prices each distinct kernel once but sums
+    // in node order, and batched kernel prediction is bit-exact with
+    // the single path, so the two sums agree exactly.
     const gpusim::GpuSpec &gpu = gpusim::findGpu("A100-40GB");
     const graph::KernelGraph g = graph::buildTrainingGraph(
         graph::findModel("GPT2-Large"), 4);
@@ -227,7 +228,7 @@ TEST_F(BatchedForecast, GraphForecastMatchesNodeByNodeSum)
         if (node.kind == graph::NodeKind::Compute)
             node_sum += framework->predictKernelMs(node.kernel, gpu);
     const double batched = framework->predictGraphMs(g, gpu);
-    EXPECT_NEAR(batched, node_sum, 1e-9 * node_sum);
+    EXPECT_EQ(batched, node_sum);
 }
 
 } // namespace

@@ -275,10 +275,11 @@ def main():
                 fail("connection closed before a reply")
             return json.loads(raw)
 
-        # Three forecasts with distinct tags; replies may arrive out of
-        # order (the worker pool finishes fast ones first).
+        # Forecasts with distinct tags, each under the default 30 s
+        # deadline; replies may arrive out of order (the worker pool
+        # finishes fast ones first).
         tags = []
-        for i, batch in enumerate((1, 2, 4)):
+        for i, batch in enumerate(range(1, 33)):
             tag = "smoke%d" % i
             tags.append(tag)
             request({"op": "inference", "model": "BERT-Large",
@@ -303,6 +304,16 @@ def main():
         if r["stats"].get("engine.instances") != shards:
             fail("merged stats shows %s engine instances, want %d"
                  % (r["stats"].get("engine.instances"), shards))
+        # Every forecast above is answered, so none of their deadlines
+        # may still be queued (each leaves the queue with its reply).
+        # A single process answers "stats" through its engine, under
+        # the stats request's own deadline; the router answers it
+        # itself.
+        want = 1 if shards == 1 else 0
+        if r["stats"].get("net.deadlines.pending") != want:
+            fail("answered requests still hold deadlines: "
+                 "net.deadlines.pending = %s, want %d"
+                 % (r["stats"].get("net.deadlines.pending"), want))
 
         # SIGTERM during load: put a request in flight, give the event
         # loop a beat to read it off the socket (the forecast itself

@@ -9,14 +9,17 @@
  * Plus the fault-tolerance layer: hash-ring re-add stability (a
  * respawned shard reclaims exactly its old keys), the respawn
  * scheduler's backoff/park policy, the fault-spec grammar, inline ping
- * answers, and request deadlines (typed "timeout" errors).
+ * answers, and request deadlines (typed "timeout" errors, and the
+ * deadline queue releasing every answered request).
  */
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -632,8 +635,88 @@ TEST(SocketServer, DeadlineAnswersTypedTimeoutUnderBacklog)
     }
     EXPECT_EQ(ok + timed_out, kBurst);
     EXPECT_GE(timed_out, 1);
-    EXPECT_GE(loop.server.metrics()->toJson().at("net.timeouts").asInt(),
+    const Json snap = loop.server.metrics()->toJson();
+    EXPECT_GE(snap.at("net.timeouts").asInt(),
               static_cast<int64_t>(timed_out));
+    // Fired deadlines leave the queue as they fire, answered ones on
+    // their reply: nothing stays queued behind the last reply.
+    EXPECT_EQ(snap.at("net.deadlines.pending").asInt(), 0);
+}
+
+/** Oracle whose graph forecasts block until open() is called. */
+class GatedOracle : public eval::SimulatorOracle
+{
+  public:
+    double
+    predictGraphMs(const graph::KernelIndex &index,
+                   const gpusim::GpuSpec &gpu) const override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            cv.wait(lock, [this] { return opened; });
+        }
+        return eval::SimulatorOracle::predictGraphMs(index, gpu);
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            opened = true;
+        }
+        cv.notify_all();
+    }
+
+  private:
+    mutable std::mutex mutex;
+    mutable std::condition_variable cv;
+    bool opened = false;
+};
+
+TEST(SocketServer, AnsweredRequestsLeaveTheDeadlineQueue)
+{
+    // A 30 s deadline (the CLI default) on every request: each one is
+    // queued while in flight and must leave the queue when answered,
+    // not 30 s later when its deadline would have fired.
+    net::SocketServerOptions options;
+    options.requestTimeoutMs = 30000;
+    serve::ServerOptions engine_options;
+    engine_options.workers = 1;
+    GatedOracle oracle;
+    serve::ForecastServer server(oracle, engine_options);
+    net::SocketServer sock(server, options);
+    std::thread loop([&sock] { sock.run(); });
+    const auto pending = [&server] {
+        return server.metrics()->toJson().at("net.deadlines.pending").asInt();
+    };
+
+    constexpr int kRequests = 24;
+    LineClient client(sock.port());
+    std::string burst;
+    for (int i = 0; i < kRequests; ++i)
+        burst += forecastLine("BERT-Large", static_cast<uint64_t>(i + 1),
+                              "q" + std::to_string(i));
+    client.send(burst);
+    // Every request is accepted and held at the gate: all queued.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (pending() < kRequests &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(pending(), kRequests);
+
+    oracle.open();
+    for (int i = 0; i < kRequests; ++i) {
+        const Json reply = client.readReply();
+        ASSERT_TRUE(reply.boolOr("ok", false)) << reply.dump(0);
+    }
+    EXPECT_EQ(pending(), 0);
+    EXPECT_EQ(server.metrics()->toJson().at("net.timeouts").asInt(), 0);
+
+    sock.requestStop();
+    loop.join();
+    server.stop();
 }
 
 TEST(SocketServer, PerRequestTimeoutOverridesTheServerDefault)

@@ -305,12 +305,12 @@ class SlowCountingPredictor : public graph::LatencyPredictor
     }
 
     double
-    predictGraphMs(const graph::KernelGraph &g,
+    predictGraphMs(const graph::KernelIndex &index,
                    const gpusim::GpuSpec &gpu) const override
     {
         calls.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
-        return graph::LatencyPredictor::predictGraphMs(g, gpu);
+        return graph::LatencyPredictor::predictGraphMs(index, gpu);
     }
 
     mutable std::atomic<int> calls{0};
@@ -608,7 +608,7 @@ TEST(GraphCache, LruEvictionAndPromotion)
         graph::KernelGraph g;
         for (size_t i = 0; i < nodes; ++i)
             g.add(makeLinear(64, 64, 64), "n" + std::to_string(i));
-        return std::make_shared<const graph::KernelGraph>(std::move(g));
+        return std::make_shared<const IndexedGraph>(std::move(g));
     };
     EXPECT_EQ(cache.lookup("a"), nullptr);
     cache.insert("a", make(1));
@@ -618,7 +618,7 @@ TEST(GraphCache, LruEvictionAndPromotion)
     cache.insert("c", make(3));
     EXPECT_EQ(cache.lookup("b"), nullptr);
     ASSERT_NE(cache.lookup("a"), nullptr);
-    EXPECT_EQ(cache.lookup("a")->computeNodeCount(), 1u);
+    EXPECT_EQ(cache.lookup("a")->graph.computeNodeCount(), 1u);
     ASSERT_NE(cache.lookup("c"), nullptr);
     const CacheStats stats = cache.stats();
     EXPECT_EQ(stats.size, 2u);
