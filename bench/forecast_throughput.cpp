@@ -178,9 +178,9 @@ run(int argc, const char *const *argv)
     // ------------------------------------------------------------------
     // 2. Strategy-sweep wall-clock on the flagship grid (GPT3-2.7B,
     // global batch 32, 8x A100-40GB): the PR-3 baseline semantics
-    // (exhaustive, serial, no cross-point memo) against the default
-    // branch-and-bound + memo + thread-pool sweep. Both arms get a
-    // fresh kernel-prediction cache; the winner must be identical.
+    // (exhaustive, no cross-point memo) against the default
+    // branch-and-bound + memo sweep, both on this thread. Both arms get
+    // a fresh kernel-prediction cache; the winner must be identical.
     // ------------------------------------------------------------------
     dist::ServerConfig server;
     server.systemName = "A100-NVLink-x8";
@@ -192,7 +192,6 @@ run(int argc, const char *const *argv)
 
     dist::SweepOptions exhaustive;
     exhaustive.exhaustive = true;
-    exhaustive.threads = 1;
     exhaustive.reuseStagePrices = false;
     dist::SweepStats ex_stats;
     neusight.attachCache(
@@ -237,13 +236,13 @@ run(int argc, const char *const *argv)
         "Strategy-sweep wall-clock (GPT3-2.7B, batch 32, 8x A100-40GB)",
         {"arm", "wall ms", "points priced", "winner"});
     sweep_table.addRow(
-        {"exhaustive serial (PR-3 semantics)",
+        {"exhaustive, no memo (PR-3 semantics)",
          TextTable::num(exhaustive_ms, 0),
          std::to_string(ex_stats.evaluatedPoints),
          ex_win.config.describe() + " m" +
              std::to_string(ex_win.config.numMicroBatches)});
     sweep_table.addRow(
-        {"pruned + memo + threads (default)",
+        {"pruned + memo (default)",
          TextTable::num(pruned_ms, 0),
          std::to_string(pr_stats.evaluatedPoints),
          pr_win.config.describe() + " m" +

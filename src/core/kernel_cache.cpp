@@ -1,8 +1,6 @@
 #include "core/kernel_cache.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
+#include "common/format.hpp"
 #include "core/predictor.hpp"
 
 namespace neusight::core {
@@ -24,21 +22,24 @@ kernelFingerprintPart(const KernelDesc &desc, bool canonical_op)
 {
     std::string key;
     key.reserve(192);
-    key += std::to_string(static_cast<int>(desc.type));
+    appendInt(key, static_cast<int>(desc.type));
     key += '|';
     key += canonical_op ? canonicalOpName(desc.opName) : desc.opName;
     key += '|';
     for (uint64_t d : desc.outDims) {
-        key += std::to_string(d);
+        appendInt(key, d);
         key += 'x';
     }
-    char buf[256];
     // %.17g round-trips doubles: distinct FLOP/byte counts never collide.
-    std::snprintf(buf, sizeof(buf), "|%" PRIu64 "|%.17g|%.17g|%d|%d@",
-                  desc.reduceDim, desc.flops, desc.memBytes,
-                  static_cast<int>(desc.dtype),
-                  desc.usesTensorCore ? 1 : 0);
-    key += buf;
+    key += '|';
+    appendInt(key, desc.reduceDim);
+    key += '|';
+    appendG17(key, desc.flops);
+    key += '|';
+    appendG17(key, desc.memBytes);
+    key += '|';
+    appendInt(key, static_cast<int>(desc.dtype));
+    key += desc.usesTensorCore ? "|1@" : "|0@";
     return key;
 }
 
@@ -47,15 +48,23 @@ gpuFeatureFingerprint(const GpuSpec &gpu)
 {
     // Two specs sharing a name but differing in any number must key
     // apart (hypothetical GPUs can shadow a database name).
-    std::string key = gpu.name;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "|%d|%.17g|%.17g|%.17g|%.17g|%.17g|%d|%.17g|%.17g",
-                  static_cast<int>(gpu.vendor), gpu.peakFp32Tflops,
-                  gpu.matrixFp32Tflops, gpu.fp16TensorTflops,
-                  gpu.memorySizeGB, gpu.memoryBwGBps, gpu.numSms,
-                  gpu.l2CacheMB, gpu.interconnectGBps);
-    key += buf;
+    std::string key;
+    key.reserve(gpu.name.size() + 200);
+    key += gpu.name;
+    key += '|';
+    appendInt(key, static_cast<int>(gpu.vendor));
+    for (double v : {gpu.peakFp32Tflops, gpu.matrixFp32Tflops,
+                     gpu.fp16TensorTflops, gpu.memorySizeGB,
+                     gpu.memoryBwGBps}) {
+        key += '|';
+        appendG17(key, v);
+    }
+    key += '|';
+    appendInt(key, gpu.numSms);
+    key += '|';
+    appendG17(key, gpu.l2CacheMB);
+    key += '|';
+    appendG17(key, gpu.interconnectGBps);
     return key;
 }
 

@@ -1,12 +1,8 @@
 #include "dist/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -663,7 +659,6 @@ validateHybrid(const ModelConfig &config, const ServerConfig &server,
 bool
 StagePriceMemo::lookup(const std::string &key, Price &out) const
 {
-    std::lock_guard<std::mutex> lock(mutex);
     const auto it = entries.find(key);
     if (it == entries.end()) {
         ++missCount;
@@ -677,22 +672,7 @@ StagePriceMemo::lookup(const std::string &key, Price &out) const
 void
 StagePriceMemo::insert(const std::string &key, const Price &price)
 {
-    std::lock_guard<std::mutex> lock(mutex);
     entries[key] = price;
-}
-
-uint64_t
-StagePriceMemo::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return hitCount;
-}
-
-uint64_t
-StagePriceMemo::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return missCount;
 }
 
 namespace {
@@ -811,55 +791,6 @@ pricedStage(const graph::LatencyPredictor &predictor,
     }
     memo->insert(key, price);
     return price;
-}
-
-/**
- * Run fn(0..count-1) on @p threads workers (0 = hardware concurrency).
- * The first exception thrown by any index is re-thrown on the caller
- * after every worker has stopped.
- */
-void
-parallelFor(size_t count, int threads, const std::function<void(size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    size_t workers =
-        threads > 0 ? static_cast<size_t>(threads)
-                    : static_cast<size_t>(std::max(
-                          1u, std::thread::hardware_concurrency()));
-    workers = std::min(workers, count);
-    if (workers <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    const auto body = [&] {
-        for (;;) {
-            const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                return;
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (size_t t = 1; t < workers; ++t)
-        pool.emplace_back(body);
-    body();
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
 }
 
 } // namespace
@@ -1270,25 +1201,21 @@ sweepStrategies(const graph::LatencyPredictor &predictor,
         if (surviving.empty())
             continue;
 
-        // Evaluate the surviving points on the thread pool; the memo
-        // and an attached kernel-prediction cache are both thread-safe,
-        // and results land in per-index slots so the outcome does not
-        // depend on scheduling.
-        std::vector<HybridResult> results(surviving.size());
-        parallelFor(surviving.size(), options.threads, [&](size_t i) {
-            results[i] =
-                options.pointEvaluator
-                    ? options.pointEvaluator(surviving[i], memo)
-                    : hybridTrainingMs(predictor, comms, server, config,
-                                       global_batch, surviving[i], memo);
-        });
-        accounting.evaluatedPoints += surviving.size();
+        // Price the surviving points in order on this thread: the memo
+        // belongs to this sweep alone.
         const SweepEngine engine = options.pointEvaluator
                                        ? SweepEngine::Simulator
                                        : SweepEngine::ClosedForm;
-        for (size_t i = 0; i < surviving.size(); ++i)
-            if (!results[i].oom)
-                out.push_back({surviving[i], results[i], engine});
+        for (const HybridConfig &point : surviving) {
+            const HybridResult result =
+                options.pointEvaluator
+                    ? options.pointEvaluator(point, memo)
+                    : hybridTrainingMs(predictor, comms, server, config,
+                                       global_batch, point, memo);
+            if (!result.oom)
+                out.push_back({point, result, engine});
+        }
+        accounting.evaluatedPoints += surviving.size();
     }
 
     accounting.stagePriceHits = memo_storage.hits();

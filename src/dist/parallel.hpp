@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -325,14 +324,18 @@ std::string validateHybrid(const graph::ModelConfig &config,
                            const HybridConfig &hybrid);
 
 /**
- * Thread-safe memo of priced pipeline-stage graphs, shared across the
- * forecasts of one strategy sweep. A stage's predicted latency (compute
- * plus its TP collectives) depends only on (tp, stages, stage index,
- * micro-batch size, training-vs-forward) — not on the DP degree, the
- * schedule, or the recompute flag — so the dozens of sweep points that
- * share a (tp, pp) split re-price the same handful of graphs. One memo
- * is valid for a single (predictor, collective model, server, model
- * config) tuple; sweepStrategies() owns one internally.
+ * Memo of priced pipeline-stage graphs, shared across the forecasts of
+ * one strategy sweep. A stage's predicted latency (compute plus its TP
+ * collectives) depends only on (tp, stages, stage index, micro-batch
+ * size, training-vs-forward) — not on the DP degree, the schedule, or
+ * the recompute flag — so the dozens of sweep points that share a
+ * (tp, pp) split re-price the same handful of graphs. One memo is valid
+ * for a single (predictor, collective model, server, model config)
+ * tuple; sweepStrategies() owns one internally.
+ *
+ * Not thread-safe: a memo belongs to one sweep running on one thread
+ * (sweepStrategies() prices its points in order on the calling
+ * thread). Concurrent sweeps each own their own memo.
  */
 class StagePriceMemo
 {
@@ -353,13 +356,12 @@ class StagePriceMemo
     void insert(const std::string &key, const Price &price);
 
     /** Lookups served from the memo. */
-    uint64_t hits() const;
+    uint64_t hits() const { return hitCount; }
 
     /** Lookups that had to price a graph. */
-    uint64_t misses() const;
+    uint64_t misses() const { return missCount; }
 
   private:
-    mutable std::mutex mutex;
     std::unordered_map<std::string, Price> entries;
     mutable uint64_t hitCount = 0;
     mutable uint64_t missCount = 0;
@@ -490,14 +492,6 @@ struct SweepOptions
      */
     bool keepSingleAxisBaselines = true;
 
-    /**
-     * Worker threads evaluating surviving grid points (0 = one per
-     * hardware thread, 1 = serial). The predictor must be safe for
-     * concurrent const use — trained NeuSight and the simulator oracle
-     * both are.
-     */
-    int threads = 0;
-
     /** Share priced stage graphs across sweep points (StagePriceMemo). */
     bool reuseStagePrices = true;
 
@@ -583,10 +577,11 @@ struct SweepStats
  * arithmetic alone — this is the cut that bites on deep micro-batch
  * grids, where wave quantization makes small micro-batches expensive.
  * Both levels prune against the keepTop-th best latency found so far.
- * Surviving points evaluate on a thread pool with stage-graph prices
- * shared through a StagePriceMemo. Set options.exhaustive to audit the
- * full space; @p stats, when given, reports how much work the bounds
- * and the memo saved.
+ * Surviving points evaluate in order on the calling thread, with
+ * stage-graph prices shared through a StagePriceMemo; a server gets
+ * its parallelism from running one sweep per worker. Set
+ * options.exhaustive to audit the full space; @p stats, when given,
+ * reports how much work the bounds and the memo saved.
  */
 std::vector<SweepEntry>
 sweepStrategies(const graph::LatencyPredictor &predictor,

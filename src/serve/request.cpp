@@ -1,7 +1,6 @@
 #include "serve/request.hpp"
 
-#include <cstdio>
-
+#include "common/format.hpp"
 #include "common/logging.hpp"
 
 namespace neusight::serve {
@@ -56,46 +55,63 @@ ForecastRequest::fingerprint() const
     key += requestKindName(kind);
     key += '|';
     key += model;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "|b%llu|p%llu|d%d",
-                  static_cast<unsigned long long>(batch),
-                  static_cast<unsigned long long>(pastLen),
-                  static_cast<int>(dtype));
-    key += buf;
+    key += "|b";
+    appendInt(key, batch);
+    key += "|p";
+    appendInt(key, pastLen);
+    key += "|d";
+    appendInt(key, static_cast<int>(dtype));
     if (kind == RequestKind::Distributed) {
-        std::snprintf(buf, sizeof(buf), "|n%d|g%llu|s%d|m%d|sch%d|l%.17g",
-                      numGpus,
-                      static_cast<unsigned long long>(globalBatch),
-                      static_cast<int>(strategy),
-                      pipeline.numMicroBatches,
-                      static_cast<int>(pipeline.schedule), linkGBps);
-        key += buf;
+        key += "|n";
+        appendInt(key, numGpus);
+        key += "|g";
+        appendInt(key, globalBatch);
+        key += "|s";
+        appendInt(key, static_cast<int>(strategy));
+        key += "|m";
+        appendInt(key, pipeline.numMicroBatches);
+        key += "|sch";
+        appendInt(key, static_cast<int>(pipeline.schedule));
+        key += "|l";
+        appendG17(key, linkGBps);
     }
     if (kind == RequestKind::Hybrid || kind == RequestKind::Simulate) {
-        std::snprintf(buf, sizeof(buf),
-                      "|n%d|g%llu|tp%d|pp%d|dp%d|m%d|sch%d|v%d|r%d|l%.17g",
-                      numGpus,
-                      static_cast<unsigned long long>(globalBatch),
-                      hybrid.tpDegree, hybrid.ppDegree, hybrid.dpDegree,
-                      hybrid.numMicroBatches,
-                      static_cast<int>(hybrid.schedule),
-                      hybrid.virtualStagesPerGpu,
-                      hybrid.recomputeActivations ? 1 : 0, linkGBps);
-        key += buf;
+        key += "|n";
+        appendInt(key, numGpus);
+        key += "|g";
+        appendInt(key, globalBatch);
+        key += "|tp";
+        appendInt(key, hybrid.tpDegree);
+        key += "|pp";
+        appendInt(key, hybrid.ppDegree);
+        key += "|dp";
+        appendInt(key, hybrid.dpDegree);
+        key += "|m";
+        appendInt(key, hybrid.numMicroBatches);
+        key += "|sch";
+        appendInt(key, static_cast<int>(hybrid.schedule));
+        key += "|v";
+        appendInt(key, hybrid.virtualStagesPerGpu);
+        key += "|r";
+        key += hybrid.recomputeActivations ? '1' : '0';
+        key += "|l";
+        appendG17(key, linkGBps);
         if (kind == RequestKind::Simulate) {
             // The jitter stream is part of the forecast's identity;
             // only identical (fraction, seed) pairs may coalesce.
-            std::snprintf(buf, sizeof(buf), "|j%.17g|s%llu",
-                          jitterFraction,
-                          static_cast<unsigned long long>(simSeed));
-            key += buf;
+            key += "|j";
+            appendG17(key, jitterFraction);
+            key += "|s";
+            appendInt(key, simSeed);
         }
     }
     if (kind == RequestKind::HybridSweep) {
-        std::snprintf(buf, sizeof(buf), "|n%d|g%llu|l%.17g", numGpus,
-                      static_cast<unsigned long long>(globalBatch),
-                      linkGBps);
-        key += buf;
+        key += "|n";
+        appendInt(key, numGpus);
+        key += "|g";
+        appendInt(key, globalBatch);
+        key += "|l";
+        appendG17(key, linkGBps);
     }
     key += '@';
     key += gpuFeatureFingerprint(gpu);

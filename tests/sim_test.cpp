@@ -429,7 +429,6 @@ TEST(SimSweep, SimulatorArmStampsEngineAndAddsZeroBubble)
     dist::SweepOptions base;
     base.microBatchCandidates = {4, 8};
     base.tryRecompute = false;
-    base.threads = 1;
     const dist::SweepOptions simOpts = simulatorSweepOptions(
         fx.oracle, fx.comms, fx.server, fx.model, 16, base);
     const auto entries = dist::sweepStrategies(fx.oracle, fx.comms,

@@ -1,11 +1,10 @@
 /**
  * @file
- * Branch-and-bound sweep equivalence: the pruned, memoized, parallel
+ * Branch-and-bound sweep equivalence: the pruned, memoized
  * sweepStrategies must return the identical winner (and top-keepTop
  * ranking prefix) as the exhaustive escape hatch, on both Table-8 grids
  * (GPT2-Large and GPT3-2.7B), while provably doing less work. Also
- * pins that the StagePriceMemo and the thread pool do not change any
- * forecast.
+ * pins that the StagePriceMemo does not change any forecast.
  */
 
 #include <gtest/gtest.h>
@@ -183,31 +182,6 @@ TEST(SweepPrune, MemoDoesNotChangeHybridForecasts)
         }
     }
     EXPECT_GT(memo.hits(), 0u);
-}
-
-TEST(SweepPrune, ThreadPoolIsDeterministic)
-{
-    // Same exhaustive space priced serially and on the pool: identical
-    // ranked lists (the comparator is total over the swept fields).
-    const eval::SimulatorOracle oracle;
-    const ServerConfig server = h100x4();
-    const SimCollectives comms(server.systemName);
-    const ModelConfig &m = graph::findModel("GPT2-Large");
-
-    SweepOptions serial;
-    serial.exhaustive = true;
-    serial.threads = 1;
-    SweepOptions pooled;
-    pooled.exhaustive = true;
-    pooled.threads = 8;
-    const auto a = sweepStrategies(oracle, comms, server, m, 16, serial);
-    const auto b = sweepStrategies(oracle, comms, server, m, 16, pooled);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(sameConfig(a[i].config, b[i].config)) << i;
-        EXPECT_DOUBLE_EQ(a[i].result.latencyMs, b[i].result.latencyMs)
-            << i;
-    }
 }
 
 } // namespace

@@ -219,9 +219,6 @@ run(int argc, const char *const *argv)
                  "with --sweep: evaluate every runnable point instead "
                  "of branch-and-bound pruning (same winner and top "
                  "ranks, audits the full space)");
-    args.addInt("sweep-threads", 0,
-                "with --sweep: worker threads pricing sweep points "
-                "(0 = one per hardware thread)");
     args.addInt("top", 10, "sweep rows to print (0 = all surviving)");
     args.addString("engine", "closed_form",
                    "with --sweep: pricing engine, closed_form | sim "
@@ -337,8 +334,6 @@ run(int argc, const char *const *argv)
         options.virtualStagesPerGpu =
             static_cast<int>(args.getInt("virtual-stages"));
         options.exhaustive = args.getFlag("exhaustive");
-        options.threads =
-            static_cast<int>(args.getInt("sweep-threads"));
         // Keep at least the printed prefix exact under pruning.
         if (args.getInt("top") > 0)
             options.keepTop = std::max(
