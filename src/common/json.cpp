@@ -1,10 +1,12 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/format.hpp"
 #include "common/logging.hpp"
 
 namespace neusight::common {
@@ -299,7 +301,17 @@ class Parser
             while (pos < text.size() && isDigit(text[pos]))
                 ++pos;
         }
-        return Json(std::stod(text.substr(start, pos - start)));
+        // The token is already validated JSON, so from_chars consumes
+        // all of it; subnormals convert to the nearest double, and only
+        // values that overflow or round to zero are out of range.
+        double value = 0.0;
+        const auto res =
+            std::from_chars(text.data() + start, text.data() + pos, value);
+        if (res.ec != std::errc()) {
+            pos = start;
+            fail("number out of range");
+        }
+        return Json(value);
     }
 
     static bool
@@ -312,9 +324,10 @@ class Parser
     size_t pos = 0;
 };
 
-/** Emit @p value as a JSON string literal with escapes. */
+} // namespace
+
 void
-dumpString(std::string &out, const std::string &value)
+appendJsonString(std::string &out, const std::string &value)
 {
     out.push_back('"');
     for (char c : value) {
@@ -354,18 +367,21 @@ dumpString(std::string &out, const std::string &value)
     out.push_back('"');
 }
 
-/** Shortest text that round-trips the double (integers stay integral). */
-std::string
-dumpNumber(double value)
+namespace {
+
+/**
+ * Append @p value with 17 significant digits (%.17g, so every double
+ * round-trips); integral values below 1e15 print as plain integers.
+ */
+void
+dumpNumber(std::string &out, double value)
 {
     if (std::isfinite(value) && value == std::floor(value) &&
         std::abs(value) < 1e15) {
-        return std::to_string(static_cast<int64_t>(value));
+        appendInt(out, static_cast<int64_t>(value));
+        return;
     }
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << value;
-    return oss.str();
+    appendG17(out, value);
 }
 
 } // namespace
@@ -547,10 +563,10 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += boolean ? "true" : "false";
         return;
       case Type::Number:
-        out += dumpNumber(number);
+        dumpNumber(out, number);
         return;
       case Type::String:
-        dumpString(out, string);
+        appendJsonString(out, string);
         return;
       case Type::Array: {
         if (array.empty()) {
@@ -579,7 +595,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += newline;
         for (size_t i = 0; i < object.size(); ++i) {
             out += pad;
-            dumpString(out, object[i].first);
+            appendJsonString(out, object[i].first);
             out += ":";
             out += space;
             object[i].second.dumpTo(out, indent, depth + 1);

@@ -130,6 +130,12 @@ class Json
     Object object;
 };
 
+/**
+ * Append @p value to @p out as a quoted JSON string literal, escaped
+ * exactly as Json::dump escapes strings.
+ */
+void appendJsonString(std::string &out, const std::string &value);
+
 } // namespace neusight::common
 
 #endif // NEUSIGHT_COMMON_JSON_HPP

@@ -362,12 +362,7 @@ ShardRouter::handleClientLine(Peer &client, const std::string &line)
         // pong even when the connection is at its in-flight limit.
         submittedCount->inc();
         completedCount->inc();
-        common::Json pong;
-        if (!tag.empty())
-            pong.set("tag", tag);
-        pong.set("ok", true);
-        pong.set("pong", true);
-        appendOutput(client, pong.dump(0) + "\n");
+        appendOutput(client, serve::pongToJson(tag).dump(0) + "\n");
         queueFlush(client);
         return;
     }
@@ -517,6 +512,8 @@ ShardRouter::handleHeartbeatPong(Peer &shardPeer)
 void
 ShardRouter::handleShardLine(Peer &shardPeer, const std::string &line)
 {
+    // Parsing validates the line: a truncated or garbled reply is
+    // dropped here and never reaches a client.
     common::Json json;
     try {
         json = common::Json::parse(line);
@@ -526,8 +523,23 @@ ShardRouter::handleShardLine(Peer &shardPeer, const std::string &line)
              std::to_string(shardPeer.shard) + ": " + e.what());
         return;
     }
+    // Every shard line opens with {"tag":"<rid>" (resultToJson and
+    // pongToJson write the tag first), so the reply is spliced, not
+    // re-encoded: the router swaps that prefix for the client's tag.
+    const common::Json::Object *members =
+        json.isObject() ? &json.asObject() : nullptr;
+    const bool ridFirst = members != nullptr && !members->empty() &&
+                          members->front().first == "tag" &&
+                          members->front().second.isString();
     const std::string rid =
-        json.isObject() ? json.stringOr("tag", "") : "";
+        ridFirst ? members->front().second.asString() : "";
+    const std::string ridPrefix = "{\"tag\":\"" + rid + "\"";
+    if (!ridFirst || line.compare(0, ridPrefix.size(), ridPrefix) != 0) {
+        protocolErrors->inc();
+        warn("net: reply from shard " + std::to_string(shardPeer.shard) +
+             " does not open with its rid");
+        return;
+    }
     if (rid.rfind("hb", 0) == 0) {
         // Heartbeat pong: not a client request, never in ridMap.
         handleHeartbeatPong(shardPeer);
@@ -553,7 +565,7 @@ ShardRouter::handleShardLine(Peer &shardPeer, const std::string &line)
         auto git = statsGroups.find(entry.statsGroup);
         if (git != statsGroups.end()) {
             StatsGroup &group = git->second;
-            if (json.isObject() && json.has("stats"))
+            if (json.has("stats"))
                 group.snapshots.push_back(json.at("stats"));
             ensure(group.pending > 0, "net: stats group underflow");
             if (--group.pending == 0)
@@ -563,12 +575,22 @@ ShardRouter::handleShardLine(Peer &shardPeer, const std::string &line)
     }
 
     completedCount->inc();
-    // Restore the client's tag (the rid was ours, not theirs).
-    if (entry.tag.empty())
-        json.erase("tag");
-    else
-        json.set("tag", entry.tag);
-    replyToClient(entry.clientFd, entry.clientGen, json.dump(0) + "\n",
+    // Restore the client's tag (the rid was ours, not theirs), or drop
+    // the member and its trailing comma when the client sent none.
+    std::string reply;
+    reply.reserve(line.size() + entry.tag.size() + 8);
+    size_t rest = ridPrefix.size();
+    if (entry.tag.empty()) {
+        reply += '{';
+        if (rest < line.size() && line[rest] == ',')
+            ++rest;
+    } else {
+        reply += "{\"tag\":";
+        common::appendJsonString(reply, entry.tag);
+    }
+    reply.append(line, rest, std::string::npos);
+    reply += '\n';
+    replyToClient(entry.clientFd, entry.clientGen, reply,
                   /*decrementInFlight=*/true);
 }
 

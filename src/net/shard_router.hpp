@@ -12,7 +12,11 @@
  * The router rewrites each forwarded request's "tag" to an internal
  * routing id and restores the client's tag on the way back, so shards
  * need no routing awareness — each one is a stock SocketServer serving
- * its adopted stream. "stats" requests fan out to every live shard and
+ * its adopted stream. A shard reply is encoded once, by the shard: the
+ * router parses it only to validate it, then splices the client's tag
+ * over the {"tag":"<rid>" prefix every shard line opens with; a line
+ * that fails either check is dropped and counted in
+ * net.protocol_errors. "stats" requests fan out to every live shard and
  * the replies merge into one cluster snapshot
  * (obs::mergeMetricsSnapshots) that also folds in the router's own
  * registry (connection/rejection counters live here, not in shards).

@@ -217,12 +217,7 @@ SocketServer::handleLine(Connection &conn, const std::string &line)
         // pong proves the event loop is alive even when the engine is
         // saturated, which is exactly what a health check wants to
         // know. The router's heartbeats ride on this.
-        common::Json pong;
-        if (!tag.empty())
-            pong.set("tag", tag);
-        pong.set("ok", true);
-        pong.set("pong", true);
-        appendOutput(conn, pong.dump(0) + "\n");
+        appendOutput(conn, serve::pongToJson(tag).dump(0) + "\n");
         flushOutput(conn);
         return;
     }
@@ -268,17 +263,22 @@ SocketServer::handleLine(Connection &conn, const std::string &line)
         [this, fd, gen, reqId](serve::ForecastResult result) {
             // Worker thread (or inline on shutdown): park the encoded
             // reply and wake the epoll loop, nothing else — the loop
-            // owns every connection.
+            // owns every connection. Only the completion that finds the
+            // list empty wakes it: a non-empty list has a wake pending
+            // that drainCompletions has not yet answered with its swap.
             Completion done;
             done.fd = fd;
             done.gen = gen;
             done.reqId = reqId;
             done.line = serve::resultToJson(result).dump(0) + "\n";
+            bool first;
             {
                 std::lock_guard<std::mutex> lock(completionMutex);
+                first = completions.empty();
                 completions.push_back(std::move(done));
             }
-            wake.notify();
+            if (first)
+                wake.notify();
         });
     if (!accepted) {
         rejectedCount->inc();

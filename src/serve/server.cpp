@@ -153,6 +153,7 @@ ForecastServer::submit(ForecastRequest request)
     const RequestPriority priority = request.priority;
     pending->request = std::move(request);
     pending->waiters.emplace_back(std::move(done), std::move(tag));
+    pending->key = key;
     pending->enqueued = std::chrono::steady_clock::now();
     inFlight.emplace(key, pending);
     (priority == RequestPriority::High ? queueHigh : queueNormal)
@@ -197,6 +198,7 @@ ForecastServer::trySubmit(ForecastRequest request, Completion done)
     const RequestPriority priority = request.priority;
     pending->request = std::move(request);
     pending->waiters.emplace_back(std::move(done), std::move(tag));
+    pending->key = key;
     pending->enqueued = std::chrono::steady_clock::now();
     inFlight.emplace(key, pending);
     (priority == RequestPriority::High ? queueHigh : queueNormal)
@@ -261,7 +263,7 @@ ForecastServer::workerLoop()
         // Unpublish first: submits from here on start a fresh
         // computation, while everyone who piggybacked meanwhile is in
         // waiters and gets this result.
-        inFlight.erase(pending->request.fingerprint());
+        inFlight.erase(pending->key);
         auto waiters = std::move(pending->waiters);
         completed->inc(waiters.size());
         e2eUs->record(std::chrono::duration<double, std::micro>(

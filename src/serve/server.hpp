@@ -189,6 +189,9 @@ class ForecastServer
     struct Pending
     {
         ForecastRequest request;
+        /** request.fingerprint(), computed once at submit: the inFlight
+         *  key the worker erases when the result is published. */
+        std::string key;
         /** (completion, tag) per coalesced submitter; front = first. */
         std::vector<std::pair<Completion, std::string>> waiters;
         /** Enqueue instant (queue-wait histogram / e2e latency). */

@@ -409,6 +409,17 @@ resultToJson(const ForecastResult &result)
     return json;
 }
 
+Json
+pongToJson(const std::string &tag)
+{
+    Json json;
+    if (!tag.empty())
+        json.set("tag", tag);
+    json.set("ok", true);
+    json.set("pong", true);
+    return json;
+}
+
 bool
 isSkippableRequestLine(const std::string &line)
 {

@@ -116,8 +116,14 @@ ForecastRequest requestFromJson(const common::Json &json);
  *  requestFromJson up to GPU resolution). */
 common::Json requestToJson(const ForecastRequest &request);
 
-/** Encode a result as its wire object. */
+/**
+ * Encode a result as its wire object. "tag", when set, is the first
+ * member: the shard router splices replies on that prefix.
+ */
 common::Json resultToJson(const ForecastResult &result);
+
+/** The answer to a "ping" op, "tag" first as in resultToJson. */
+common::Json pongToJson(const std::string &tag);
 
 /**
  * True for lines a request stream ignores: blank, or first

@@ -1,16 +1,24 @@
 /**
  * @file
  * Tests for the configuration substrate: the JSON parser/writer
- * (grammar coverage, escapes, error positions, round-trip property),
+ * (grammar coverage, escapes, error positions, round-trip property,
+ * and the number paths pinned against the stod/ostream originals),
  * the command-line parser, and the GpuSpec / ModelConfig JSON loaders
  * used by the tools/ binaries.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <sstream>
 
 #include "common/argparse.hpp"
 #include "common/json.hpp"
@@ -141,6 +149,154 @@ TEST(Json, DumpKeepsIntegersIntegral)
     const std::string text = doc.dump(0);
     EXPECT_NE(text.find("\"sms\":132"), std::string::npos) << text;
     EXPECT_NE(text.find("3430.5"), std::string::npos) << text;
+}
+
+// Number pins: parse must give std::stod's bits wherever stod succeeds,
+// and dump must give the bytes of an ostream at precision 17.
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+double
+fromBits(uint64_t bits)
+{
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+/** Json's number text as the ostream-based writer produced it. */
+std::string
+ostreamDump(double v)
+{
+    if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15)
+        return std::to_string(static_cast<int64_t>(v));
+    std::ostringstream oss;
+    oss.precision(17);
+    oss << v;
+    return oss.str();
+}
+
+TEST(Json, ParsesSubnormalsToTheNearestDouble)
+{
+    // std::stod throws out_of_range on these; strtod rounds them
+    // correctly (while setting ERANGE), so it is the reference.
+    for (const char *text :
+         {"1e-310", "-1e-310", "4.9406564584124654e-324",
+          "2.2250738585072009e-308", "1.5e-323"}) {
+        const double want = std::strtod(text, nullptr);
+        ASSERT_NE(want, 0.0) << text;
+        EXPECT_EQ(bitsOf(Json::parse(text).asDouble()), bitsOf(want))
+            << text;
+    }
+    EXPECT_EQ(Json::parse("4.9406564584124654e-324").asDouble(),
+              std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(Json::parse(R"({"x":[1e-310]})").at("x").asArray()[0]
+                  .asDouble(),
+              std::strtod("1e-310", nullptr));
+}
+
+TEST(Json, OutOfRangeNumbersAreTypedErrors)
+{
+    for (const char *text :
+         {"1e999", "-1e999", "1e-400", "-1e-400", "[1, 2e400]"}) {
+        try {
+            Json::parse(text);
+            FAIL() << "expected a range error for " << text;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("json: number out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Zero with any exponent is exact, not an underflow.
+    EXPECT_EQ(Json::parse("0e-400").asDouble(), 0.0);
+    EXPECT_TRUE(std::signbit(Json::parse("-0").asDouble()));
+}
+
+TEST(Json, DumpMatchesOstreamBytes)
+{
+    const double cases[] = {
+        0.0, -0.0, 1e15, -1e15, 999999999999999.0, -999999999999999.0,
+        1e15 + 2.0, 1e15 - 0.5, std::nextafter(1e15, 0.0),
+        std::nextafter(1e15, 2e15), -1.0, -42.0, -123456789012345.0,
+        -9007199254740993.0, 0.1, -66.9, 1e-5, 1e300,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()};
+    for (double v : cases)
+        EXPECT_EQ(Json(v).dump(0), ostreamDump(v)) << ostreamDump(v);
+
+    std::mt19937_64 rng(20261017);
+    for (int i = 0; i < 1000000; ++i) {
+        const double v = fromBits(rng());
+        if (!std::isfinite(v))
+            continue;
+        const std::string got = Json(v).dump(0);
+        const std::string expected = ostreamDump(v);
+        if (got != expected) {
+            ADD_FAILURE() << "bits " << bitsOf(v) << ": " << got
+                          << " != " << expected;
+            break;
+        }
+    }
+}
+
+TEST(Json, ParseMatchesStodBitsWhereStodSucceeds)
+{
+    std::mt19937_64 rng(7);
+    auto digits = [&](int n, bool leading) {
+        std::string out;
+        for (int i = 0; i < n; ++i) {
+            const int lo = (leading && i == 0) ? 1 : 0;
+            out += static_cast<char>('0' + lo + rng() % (10 - lo));
+        }
+        return out;
+    };
+    int compared = 0;
+    for (int i = 0; i < 200000; ++i) {
+        std::string text;
+        if (i % 2 == 0) {
+            // Formatted doubles, the shapes real writers emit.
+            const double v = fromBits(rng());
+            if (!std::isfinite(v))
+                continue;
+            char buf[64];
+            static const char *formats[] = {"%.17g", "%.6g", "%.3e",
+                                            "%.1f"};
+            std::snprintf(buf, sizeof(buf), formats[rng() % 4], v);
+            text = buf;
+            if (text.size() > 40)
+                continue; // %.1f of a huge value: covered by %.17g.
+        } else {
+            // Arbitrary JSON number tokens, long mantissas included.
+            if (rng() % 2)
+                text += '-';
+            text += rng() % 8 == 0 ? "0"
+                                   : digits(1 + static_cast<int>(rng() % 25),
+                                            true);
+            if (rng() % 2)
+                text += "." + digits(1 + static_cast<int>(rng() % 25), false);
+            if (rng() % 2)
+                text += (rng() % 2 ? "e" : "E") +
+                        std::to_string(static_cast<int>(rng() % 700) - 350);
+        }
+        double want = 0.0;
+        try {
+            want = std::stod(text);
+        } catch (const std::out_of_range &) {
+            continue;
+        }
+        ASSERT_EQ(bitsOf(Json::parse(text).asDouble()), bitsOf(want))
+            << text;
+        ++compared;
+    }
+    EXPECT_GT(compared, 150000);
 }
 
 TEST(Json, ParseFileReportsMissingFile)

@@ -14,6 +14,12 @@ self-healing invariants — every accepted request gets exactly one reply
 the killed shard respawns and rejoins the ring, and the router's
 request ledger balances (submitted == completed + rejected + timed_out).
 
+With --shards N > 1 it also checks the router's reply splice: an
+untagged request's reply has no tag, an awkward tag comes back byte
+for byte, and under --fault-spec write corruption every line the
+client receives is still valid JSON (the router drops corrupted shard
+lines; their requests end in a typed timeout).
+
 Usage: net_smoke.py <path-to-neusight-serve> [--shards N] [--chaos]
 """
 
@@ -224,6 +230,49 @@ def chaos_wedge_phase(serve):
             proc.kill()
 
 
+def fault_phase(serve):
+    """Corrupt shard writes (truncated and garbage batches): the router
+    must drop every corrupted shard line, so each line the client reads
+    parses, and each request ends ok or with the typed timeout."""
+    # A dropped reply leaves its rid in the router until the drain
+    # deadline, so the drain is bounded to keep the smoke fast.
+    proc, port = spawn_server(serve, [
+        "--shards", "2", "--drain-timeout", "1000",
+        "--fault-spec", "truncate:every=7;garbage:every=11"])
+    try:
+        client = Client(port)
+        outcomes = {}
+        for w in range(5):
+            tags = set()
+            for i in range(16):
+                tag = "f%d_%d" % (w, i)
+                tags.add(tag)
+                client.request({"op": "inference", "model": "GPT2-Large",
+                                "batch": w * 16 + i + 1, "gpu": "H100",
+                                "timeout_ms": 400, "tag": tag})
+            for _ in range(16):
+                raw = client.stream.readline()
+                try:
+                    r = json.loads(raw)
+                except ValueError:
+                    fail("fault phase: unparseable reply line %r" % raw)
+                if r.get("tag") not in tags:
+                    fail("fault phase: unexpected reply %s" % r)
+                tags.discard(r["tag"])
+                outcome = "ok" if r.get("ok") else r.get("code")
+                if outcome not in ("ok", "timeout"):
+                    fail("fault phase: reply neither ok nor timeout: %s" % r)
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcomes.get("ok", 0) == 0 or outcomes.get("timeout", 0) == 0:
+            fail("fault phase: want both answers and timeouts, got %s"
+                 % outcomes)
+        shutdown(proc, client)
+        print("net_smoke: fault phase OK (%s)" % outcomes)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+
+
 def chaos_main(serve, shards):
     chaos_kill_phase(serve, max(shards, 3))
     chaos_wedge_phase(serve)
@@ -293,6 +342,23 @@ def main():
         if seen != set(tags):
             fail("tags mismatch: %s" % seen)
 
+        # Replies keep the client's tag exactly: none when it sent
+        # none, and an awkward one byte for byte (the router splices
+        # it onto the shard's reply in sharded mode).
+        request({"op": "inference", "model": "BERT-Large", "batch": 3,
+                 "gpu": "A100-40GB"})
+        r = reply()
+        if not r.get("ok") or "tag" in r:
+            fail("untagged request answered with %s" % r)
+        odd = 'q"uote \\ ctl\x01 caf\u00e9 \u20ac'
+        request({"op": "inference", "model": "BERT-Large", "batch": 5,
+                 "gpu": "A100-40GB", "tag": odd})
+        raw = stream.readline()
+        want = (b'{"tag":' + json.dumps(odd, ensure_ascii=False).encode()
+                + b',')
+        if not raw.startswith(want) or json.loads(raw).get("tag") != odd:
+            fail("awkward tag did not round-trip: %r" % raw)
+
         # Stats must aggregate (and in sharded mode, merge) registries.
         request({"op": "stats", "tag": "st"})
         r = reply()
@@ -336,6 +402,8 @@ def main():
             fail("server did not exit within 60s of SIGTERM")
     if code != 0:
         fail("server exited %d after SIGTERM drain" % code)
+    if shards > 1:
+        fault_phase(serve)
     print("net_smoke: OK (shards=%d)" % shards)
 
 

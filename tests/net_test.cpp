@@ -215,19 +215,27 @@ class LineClient
         ASSERT_TRUE(net::writeFully(fd, bytes.data(), bytes.size()));
     }
 
-    /** Blocking read of the next reply line, parsed as JSON. */
-    Json readReply()
+    /** Blocking read of the next reply line ("" on EOF / reset). */
+    std::string readLine()
     {
         std::string line;
         for (;;) {
             if (framer.next(line) == serve::LineFramer::Event::Line)
-                return Json::parse(line);
+                return line;
             char buf[4096];
             const ssize_t n = net::readRetry(fd, buf, sizeof(buf));
             if (n <= 0)
-                return Json(); // EOF / reset: callers assert on shape.
+                return "";
             framer.feed(buf, static_cast<size_t>(n));
         }
+    }
+
+    /** Blocking read of the next reply line, parsed as JSON. */
+    Json readReply()
+    {
+        const std::string line = readLine();
+        // EOF / reset: a null reply, callers assert on shape.
+        return line.empty() ? Json() : Json::parse(line);
     }
 
     /** Close without reading; pending server writes will fail. */
@@ -594,7 +602,10 @@ TEST(SocketServer, PingIsAnsweredInlineWithPong)
     LoopbackServer loop;
     LineClient client(loop.sock.port());
     client.send("{\"op\":\"ping\",\"tag\":\"hb7\"}\n");
-    const Json reply = client.readReply();
+    const std::string line = client.readLine();
+    // The router splices on this prefix: the tag must come first.
+    EXPECT_EQ(line.rfind("{\"tag\":\"hb7\",", 0), 0u) << line;
+    const Json reply = Json::parse(line);
     EXPECT_TRUE(reply.boolOr("ok", false)) << reply.dump(0);
     EXPECT_TRUE(reply.boolOr("pong", false)) << reply.dump(0);
     EXPECT_EQ(reply.stringOr("tag", ""), "hb7");

@@ -560,6 +560,32 @@ TEST(Wire, ResultSerializesForecastAndCacheCounters)
     EXPECT_EQ(ejson.at("error").asString(), "boom");
 }
 
+TEST(Wire, ResultsWriteTheTagFirst)
+{
+    // The shard router splices replies on the {"tag":"<rid>" prefix
+    // instead of re-encoding them, so every shard reply must open with
+    // the tag: forecasts, errors, stats snapshots and pongs alike.
+    ForecastResult forecast;
+    forecast.tag = "r1";
+    forecast.latencyMs = 3.25;
+    forecast.strategy = "dp4";
+    ForecastResult error;
+    error.tag = "r2";
+    error.ok = false;
+    error.error = "boom";
+    error.errorCode = "timeout";
+    ForecastResult stats;
+    stats.tag = "r3";
+    stats.payload = "{\"serve.submitted\":4}";
+    for (const ForecastResult &result : {forecast, error, stats}) {
+        const std::string line = resultToJson(result).dump(0);
+        EXPECT_EQ(line.rfind("{\"tag\":\"" + result.tag + "\",", 0), 0u)
+            << line;
+    }
+    EXPECT_EQ(pongToJson("hb4").dump(0),
+              "{\"tag\":\"hb4\",\"ok\":true,\"pong\":true}");
+}
+
 TEST(Wire, StatsOpRoundTripsRegistrySnapshot)
 {
     // The stats op needs no model/gpu fields and survives the encode →
